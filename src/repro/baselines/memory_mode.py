@@ -14,12 +14,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
+import numpy as np
+
 from repro.apps.workload import InstanceSpan, Workload
 from repro.memsim.dram_cache import memory_mode_hit_ratio
 from repro.memsim.subsystem import MemorySystem
 from repro.runtime.engine import EngineParams, ExecutionEngine
+from repro.runtime.segments import SegmentArrays
 from repro.runtime.stats import RunResult
-from repro.runtime.traffic import SegmentTraffic
+from repro.runtime.traffic import (
+    SegmentTraffic,
+    TrafficBatch,
+    _placement_pack_base,
+    _site_groups,
+    group_records,
+    pack_traffic_calls,
+)
 
 #: extra per-load penalty of a DRAM-cache miss: the fill round-trip the
 #: memory controller inserts before data reaches the core (measured
@@ -44,7 +54,11 @@ class MemoryModeTraffic:
     def __init__(self, workload: Workload, dram_cache_bytes: int):
         self.workload = workload
         self.dram_cache_bytes = dram_cache_bytes
-        self._hit_ratios: list = []
+        # traffic-weighted hit-ratio history, as left folds over every
+        # contribution in call order
+        self._hit_count = 0
+        self._hit_weight = 0.0
+        self._hit_weighted = 0.0
 
     @property
     def label(self) -> str:
@@ -83,11 +97,13 @@ class MemoryModeTraffic:
         # Direct-mapped conflict thrash: streams flowing through the cache
         # evict resident lines at random index collisions, so residence
         # protects less the more of the segment's traffic is streaming.
-        total_rate = sum(s.load_rate + s.store_rate for _, s in contributions)
-        stream_rate = sum(
-            (s.load_rate + s.store_rate) * (1.0 - residency[i])
-            for i, (_inst, s) in enumerate(contributions)
-        )
+        # (Plain loops, not ``sum``: from Python 3.12 ``sum`` of floats is
+        # compensated, and the batched path relies on left folds.)
+        total_rate = 0.0
+        stream_rate = 0.0
+        for i, (_inst, s) in enumerate(contributions):
+            total_rate += s.load_rate + s.store_rate
+            stream_rate += (s.load_rate + s.store_rate) * (1.0 - residency[i])
         stream_share = stream_rate / total_rate if total_rate > 0 else 0.0
         thrash = 1.0 - 2.0 * wl.conflict_pressure * stream_share
 
@@ -136,7 +152,9 @@ class MemoryModeTraffic:
             loads = stats.load_rate * dt * ranks
             stores = stats.store_rate * dt * ranks
             serial = loads * inst.spec.serial_fraction
-            self._hit_ratios.append((loads + stores, hit))
+            self._hit_count += 1
+            self._hit_weight += loads + stores
+            self._hit_weighted += (loads + stores) * hit
             # every access probes the DRAM cache; misses additionally fill
             # a line into DRAM (counted as half a store: one 64 B write,
             # no RFO) — the memory-mode write-amplification effect
@@ -156,14 +174,154 @@ class MemoryModeTraffic:
             )
         return traffic
 
+    def traffic_batch(
+        self, segments: SegmentArrays, subsystem_names: Sequence[str]
+    ) -> TrafficBatch:
+        """All segments' traffic at once, bit-identical to ``segment_traffic``.
+
+        The contributions are the live pairs with a nonzero *rate* (the
+        scalar filter; a sub-epsilon segment can keep a pair whose traffic
+        rounds to zero), taken in live order.  Residency, the per-segment
+        rate sums and the bucket sums are the scalar's sequential folds in
+        array form (see :meth:`_hits_batch`), and the hit-ratio history
+        advances by the same left folds.
+        """
+        wl = self.workload
+        ranks = wl.ranks
+        base = _placement_pack_base(wl, segments)
+        S = segments.num_segments
+        rl, rs = base.pair_rates(segments.pair_seg, segments.pair_inst)
+        keep = np.flatnonzero((rl != 0.0) | (rs != 0.0))
+        kseg = segments.pair_seg[keep]
+        kinst = segments.pair_inst[keep]
+        rl, rs = rl[keep], rs[keep]
+        dt = segments.durations_nominal[kseg]
+        loads = rl * dt * ranks
+        stores = rs * dt * ranks
+        serial = loads * base.inst_sf[kinst]
+        hit = self._hits_batch(segments, kseg, kinst, rl + rs)
+
+        weight = loads + stores
+        self._hit_count += int(kseg.size)
+        self._hit_weight = _fold(self._hit_weight, weight)
+        self._hit_weighted = _fold(self._hit_weighted, weight * hit)
+
+        colmap = {name: k for k, name in enumerate(subsystem_names)}
+        dram, pmem = colmap["dram"], colmap["pmem"]
+        ksite = base.inst_site[kinst]
+        if keep.size == base.kseg.size:
+            # no contribution's traffic rounds to zero: the kept pairs
+            # are the base's, and so are their (segment, site) groups
+            groups = base.site_groups()
+        else:
+            inv, _first, order, gseg, gsite = _site_groups(
+                kseg, ksite, max(len(base.site_names), 1))
+            groups = (inv, order, gseg, gsite)
+        miss = 1.0 - hit
+        miss_loads = loads * miss
+        pmem_stores = stores * miss * WRITEBACK_COALESCING
+        objects = group_records(groups, (dram, loads * hit, stores * hit),
+                                (pmem, miss_loads, pmem_stores))
+        batch = pack_traffic_calls(
+            S, subsystem_names, base.site_names, kseg,
+            [(dram, None, loads, stores + 0.5 * weight * miss, serial),
+             (pmem, None, miss_loads, pmem_stores, serial * miss)],
+            objects,
+        )
+        batch.extra_latency_ns[:, dram] = np.where(
+            batch.present[:, dram], CACHE_PROBE_NS, 0.0)
+        batch.extra_latency_ns[:, pmem] = np.where(
+            batch.present[:, pmem], FILL_PENALTY_NS, 0.0)
+        return batch
+
+    def _hits_batch(self, segments: SegmentArrays, kseg: np.ndarray,
+                    kinst: np.ndarray, rate: np.ndarray) -> np.ndarray:
+        """:meth:`_per_object_hits` for every contribution at once.
+
+        Residency works on a (segments x max-live) grid.  A row-wise
+        stable argsort by -density keeps ties in live order, as the
+        scalar's stable ``sorted`` does.  The budget greedy is a row-wise
+        ``np.subtract.accumulate`` — a sequential left fold, so each
+        running budget is the scalar's float.  Every footprint is positive,
+        so the first object that does not fit takes the partial remainder
+        (if any budget is left) and all later ones get nothing.  The rate
+        sums are ``np.bincount`` folds in live order, and the streaming hit
+        ratio, which depends only on the instance, comes from the scalar
+        ``memory_mode_hit_ratio`` once per distinct footprint.
+        """
+        if not kseg.size:
+            return np.zeros(0)
+        wl = self.workload
+        ranks = wl.ranks
+        S = segments.num_segments
+        instances = segments.instances
+        size = np.array([inst.spec.size for inst in instances], dtype=float)
+        footprint = np.array(
+            [inst.spec.size * ranks * wl.ws_factor for inst in instances],
+            dtype=float)
+
+        # (segment, live position) grid, padded past each segment's end
+        counts = np.bincount(kseg, minlength=S)
+        live = np.arange(kseg.size) - (np.cumsum(counts) - counts)[kseg]
+        W = int(counts.max(initial=0))
+        neg_density = np.full((S, W), np.inf)
+        neg_density[kseg, live] = -(rate / size[kinst])
+        fp_grid = np.zeros((S, W))
+        fp_grid[kseg, live] = footprint[kinst]
+        # densest first; the stable sort keeps ties in live order and
+        # the +inf padding last
+        order = np.argsort(neg_density, axis=1, kind="stable")
+        fp_sorted = np.take_along_axis(fp_grid, order, axis=1)
+        budget = np.empty((S, W + 1))
+        budget[:, 0] = self.dram_cache_bytes * (1.0 - wl.conflict_pressure)
+        budget[:, 1:] = fp_sorted
+        before = np.subtract.accumulate(budget, axis=1)[:, :W]
+        rank = np.arange(W)
+        over = ~(fp_sorted <= before) & (rank < counts[:, None])
+        stop = np.where(over.any(axis=1), over.argmax(axis=1), W)[:, None]
+        partial = np.zeros((S, W))
+        np.divide(before, fp_sorted, out=partial,
+                  where=(rank == stop) & (before > 0))
+        granted = np.where(rank < stop, 1.0, partial)
+        residency_grid = np.empty((S, W))
+        np.put_along_axis(residency_grid, order, granted, axis=1)
+        residency = residency_grid[kseg, live]
+
+        total = np.bincount(kseg, weights=rate, minlength=S)
+        stream = np.bincount(kseg, weights=rate * (1.0 - residency),
+                             minlength=S)
+        share = np.zeros(S)
+        np.divide(stream, total, out=share, where=total > 0)
+        thrash = 1.0 - 2.0 * wl.conflict_pressure * share
+
+        used = np.zeros(len(instances), dtype=bool)
+        used[kinst] = True
+        distinct, inverse = np.unique(footprint[used], return_inverse=True)
+        streaming = np.zeros(len(instances))
+        streaming[used] = np.array([
+            memory_mode_hit_ratio(
+                float(fp), self.dram_cache_bytes,
+                reuse_locality=wl.locality * 0.15,
+                conflict_pressure=wl.conflict_pressure,
+            )
+            for fp in distinct
+        ])[inverse]
+        hits = (residency * wl.locality * thrash[kseg]
+                + (1.0 - residency) * streaming[kinst])
+        return np.where(0.0 > hits, 0.0, hits)   # max(hits, 0.0)
+
     def mean_hit_ratio(self) -> Optional[float]:
         """Traffic-weighted DRAM cache hit ratio over the run."""
-        if not self._hit_ratios:
+        if not self._hit_count or self._hit_weight == 0:
             return None
-        total = sum(w for w, _ in self._hit_ratios)
-        if total == 0:
-            return None
-        return sum(w * h for w, h in self._hit_ratios) / total
+        return self._hit_weighted / self._hit_weight
+
+
+def _fold(acc: float, values: np.ndarray) -> float:
+    """``acc + values[0] + values[1] + ...``, added left to right."""
+    if not values.size:
+        return acc
+    return float(np.cumsum(np.concatenate(([acc], values)))[-1])
 
 
 def run_memory_mode(

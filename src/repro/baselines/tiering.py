@@ -23,11 +23,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.apps.workload import InstanceSpan, Workload
 from repro.memsim.subsystem import MemorySystem
 from repro.runtime.engine import EngineParams, ExecutionEngine
+from repro.runtime.segments import SegmentArrays
 from repro.runtime.stats import RunResult
-from repro.runtime.traffic import SegmentTraffic
+from repro.runtime.traffic import (
+    SegmentTraffic,
+    TrafficBatch,
+    _placement_pack_base,
+    group_records,
+    pack_traffic_calls,
+)
 from repro.units import GiB
 
 #: struct page is 64 B per 4 KiB page -> ~1.56% of device capacity.
@@ -98,6 +107,141 @@ class TieringTraffic:
         self._promoted_cache[phase_key] = promoted
         return promoted
 
+    def _phase_occurrence(self, lo: float):
+        """(start, (name, iteration)) of the phase span holding ``lo``."""
+        for span in self.workload.spans:
+            if span.start <= lo < span.end:
+                return span.start, (span.name, span.iteration)
+        return None, None
+
+    def _occurrences(self, segments: SegmentArrays, base):
+        """Per-segment phase-occurrence state for the batched packs.
+
+        Returns (occ, promoted, cold, share): each segment's occurrence
+        row, the (occurrences, sites) promoted mask, the segment's cold
+        fraction (its part inside the reaction window over its length) and
+        its share of the window.  Spans tile the timeline, so the span
+        holding a segment's start is ``segments.span_idx``.  The promoted
+        sets come from :meth:`_promoted_set` on each occurrence's first
+        segment, in segment order — the calls the scalar path makes, so
+        ``_promoted_cache`` fills identically.
+        """
+        spans = self.workload.spans
+        span = segments.span_idx
+        row_of_key: Dict[Tuple[str, int], int] = {}
+        span_row = np.array([
+            row_of_key.setdefault((sp.name, sp.iteration), len(row_of_key))
+            for sp in spans
+        ], dtype=np.int64)
+        keys = list(row_of_key)
+        occ = span_row[span]
+
+        site_col = {name: i for i, name in enumerate(base.site_names)}
+        promoted = np.zeros((len(keys), len(base.site_names)), dtype=bool)
+        rows, first = np.unique(occ, return_index=True)
+        lo = np.searchsorted(segments.pair_seg, first, side="left")
+        hi = np.searchsorted(segments.pair_seg, first, side="right")
+        for i in np.argsort(first, kind="stable"):
+            live = [segments.instances[j]
+                    for j in segments.pair_inst[lo[i]:hi[i]]]
+            names = self._promoted_set(keys[rows[i]], live,
+                                       spans[span[first[i]]].name)
+            for name in names:
+                if name in site_col:
+                    promoted[rows[i], site_col[name]] = True
+
+        start = np.array([sp.start for sp in spans])[span]
+        warm_end = start + self.reaction_s
+        inside = np.minimum(segments.seg_hi, warm_end) - segments.seg_lo
+        inside = np.where(inside > 0.0, inside, 0.0)
+        dt = segments.durations_nominal
+        cold = np.zeros(segments.num_segments)
+        np.divide(inside, dt, out=cold, where=dt > 0)
+        window = warm_end - start
+        share = inside / np.where(1e-9 > window, 1e-9, window)
+        return occ, promoted, cold, share
+
+    def traffic_batch(
+        self, segments: SegmentArrays, subsystem_names: Sequence[str]
+    ) -> TrafficBatch:
+        """All segments' traffic at once, bit-identical to ``segment_traffic``.
+
+        Each kept pair (the placement base's: nonzero traffic, the scalar
+        filter) issues the scalar's calls in the scalar's order: one
+        whole-contribution call, or for a promoted object still warming up
+        a cold (PMem) then a warm (DRAM) call.  A segment inside the
+        reaction window then adds the page-migration traffic.
+        """
+        wl = self.workload
+        ranks = wl.ranks
+        base = _placement_pack_base(wl, segments)
+        S = segments.num_segments
+        occ, promoted, cold, share = self._occurrences(segments, base)
+        colmap = {name: k for k, name in enumerate(subsystem_names)}
+        dram, pmem = colmap["dram"], colmap["pmem"]
+        nbytes = np.array([inst.spec.size * ranks
+                           for inst in segments.instances], dtype=np.int64)
+
+        kseg, kinst, ksite = base.kseg, base.kinst, base.ksite
+        up = 1.0 + self.scan_overhead
+        loads = base.pl * up
+        stores = base.ps * up
+        serial = loads * base.inst_sf[kinst]
+        c = cold[kseg]
+        warm = 1 - c
+        prom = promoted[occ[kseg], ksite]
+        direct = self._direct_dram(base, prom, c)
+        split = prom & ~direct
+
+        calls = [
+            # the whole contribution, or a split one's cold (PMem) share
+            (pmem, ~direct, np.where(split, loads * c, loads),
+             np.where(split, stores * c, stores),
+             np.where(split, serial * c, serial)),
+            (dram, direct, loads, stores, serial),
+            # a split contribution's warm (DRAM) share
+            (dram, split, loads * warm, stores * warm, serial * warm),
+        ]
+        objects = group_records(
+            base.site_groups(),
+            (np.where(direct | split, dram, pmem),
+             np.where(split, loads * warm, loads),
+             np.where(split, stores * warm, stores)),
+            (pmem, loads * c, stores * c),
+            split)
+
+        migrate, moved_bytes = self._migration(segments, base, occ, promoted,
+                                               cold, split, nbytes)
+        moved = moved_bytes * share[migrate]
+        # a page migration reads PMem and writes DRAM, after the pairs
+        trailing = [(migrate, pmem, moved / 64.0, 0.0, 0.0),
+                    (migrate, dram, 0.0, moved / 128.0, 0.0)]
+        return pack_traffic_calls(S, subsystem_names, base.site_names, kseg,
+                                  calls, objects, trailing)
+
+    def _direct_dram(self, base, prom: np.ndarray,
+                     cold: np.ndarray) -> np.ndarray:
+        """Kept pairs whose traffic goes to DRAM whole: none, since every
+        promoted object starts a phase in PMem."""
+        return np.zeros(prom.size, dtype=bool)
+
+    def _migration(self, segments: SegmentArrays, base, occ, promoted,
+                   cold, split, nbytes):
+        """(segments that migrate, bytes promoted there).
+
+        Every live promoted object with stats in the phase moves, summed
+        as integers like the scalar's ``sum``, in every segment inside the
+        reaction window.
+        """
+        pseg, pinst = segments.pair_seg, segments.pair_inst
+        moving = (promoted[occ[pseg], base.inst_site[pinst]]
+                  & base.has_stats[base.inst_row[pinst], base.seg_pname[pseg]])
+        csum = np.concatenate(([0], np.cumsum(
+            np.where(moving, nbytes[pinst], 0))))
+        bounds = np.searchsorted(pseg, np.arange(segments.num_segments + 1))
+        migrate = np.flatnonzero(cold > 0.0)
+        return migrate, (csum[bounds[1:]] - csum[bounds[:-1]])[migrate]
+
     def segment_traffic(
         self,
         lo: float,
@@ -111,13 +255,7 @@ class TieringTraffic:
         traffic = SegmentTraffic()
 
         # find the phase occurrence this segment belongs to, for warm-up
-        phase_start = None
-        phase_key = None
-        for span in wl.spans:
-            if span.start <= lo < span.end:
-                phase_start = span.start
-                phase_key = (span.name, span.iteration)
-                break
+        phase_start, phase_key = self._phase_occurrence(lo)
         if phase_key is None:
             return traffic
         promoted = self._promoted_set(phase_key, live, phase_name)
@@ -214,18 +352,27 @@ class CombinedTraffic(TieringTraffic):
     def label(self) -> str:
         return "combined-proactive-reactive"
 
+    def _direct_dram(self, base, prom, cold):
+        """Sites the Advisor put in DRAM, and promoted objects once their
+        warm-up is over, send their traffic to DRAM whole."""
+        static = np.array([self.initial_placement.get(name) == "dram"
+                           for name in base.site_names], dtype=bool)
+        return static[base.ksite] | (prom & (cold == 0.0))
+
+    def _migration(self, segments, base, occ, promoted, cold, split, nbytes):
+        """Only the objects warming up in a segment move, summed as a
+        float like the scalar's ``+=``, where any did."""
+        moved = np.bincount(base.kseg[split], weights=nbytes[base.kinst[split]],
+                            minlength=segments.num_segments)
+        migrate = np.flatnonzero((cold > 0.0) & (moved > 0))
+        return migrate, moved[migrate]
+
     def segment_traffic(self, lo, hi, phase_name, live):
         wl = self.workload
         ranks = wl.ranks
         dt = hi - lo
         traffic = SegmentTraffic()
-        phase_start = None
-        phase_key = None
-        for span in wl.spans:
-            if span.start <= lo < span.end:
-                phase_start = span.start
-                phase_key = (span.name, span.iteration)
-                break
+        phase_start, phase_key = self._phase_occurrence(lo)
         if phase_key is None:
             return traffic
         promoted = self._promoted_set(phase_key, live, phase_name)

@@ -406,12 +406,21 @@ class _PlacementPackBase:
     every candidate placement over the same segmentation — cached on the
     :class:`SegmentArrays` instance, keyed by workload identity (the
     workload reference is held alongside, so the id can never be reused
-    while the cache entry is alive).
+    while the cache entry is alive).  The baselines' native packs start
+    from it too: its rate tables, kept pairs and (segment, site) groups.
     """
 
     site_names: List[str]
     inst_site: np.ndarray             # (N,) instance -> site index
+    inst_sf: np.ndarray               # (N,) instance serial fraction
     slot_of_instance: Dict[Tuple[str, int], int]
+    # per-(spec, phase name) rate tables: a pair's row is
+    # inst_row[instance], its column seg_pname[segment]
+    inst_row: np.ndarray              # (N,) instance -> rate row
+    seg_pname: np.ndarray             # (S,) segment -> phase-name column
+    rate_load: np.ndarray             # (R, U) load rate, 0 without stats
+    rate_store: np.ndarray            # (R, U) store rate, 0 without stats
+    has_stats: np.ndarray             # (R, U) the spec has stats there
     kseg: np.ndarray                  # kept pairs: segment index
     kinst: np.ndarray                 # kept pairs: instance index
     ksite: np.ndarray                 # kept pairs: site index
@@ -428,6 +437,16 @@ class _PlacementPackBase:
     obj_site_ord: np.ndarray          # group site, first-touch order
     obj_loads_ord: np.ndarray         # group load sums, first-touch order
     obj_stores_ord: np.ndarray        # group store sums, first-touch order
+
+    def site_groups(self):
+        """The kept pairs' (segment, site) groups, for :func:`group_records`."""
+        return self.binv, self.gorder, self.obj_seg_ord, self.obj_site_ord
+
+    def pair_rates(self, pseg: np.ndarray, pinst: np.ndarray):
+        """(load rate, store rate) of each (segment, instance) pair."""
+        row = self.inst_row[pinst]
+        col = self.seg_pname[pseg]
+        return self.rate_load[row, col], self.rate_store[row, col]
 
 
 def _placement_pack_base(
@@ -461,6 +480,7 @@ def _build_placement_pack_base(
     spec_row: Dict[int, int] = {}
     rate_load_rows: List[np.ndarray] = []
     rate_store_rows: List[np.ndarray] = []
+    has_rows: List[np.ndarray] = []
     inst_row = np.empty(N, dtype=np.int64)
     inst_site = np.empty(N, dtype=np.int64)
     inst_sf = np.empty(N, dtype=float)
@@ -471,15 +491,18 @@ def _build_placement_pack_base(
         if row is None:
             rl = np.zeros(U)
             rs = np.zeros(U)
+            has = np.zeros(U, dtype=bool)
             for pname, u in pname_idx.items():
                 stats = spec.access.get(pname)
                 if stats is not None:
                     rl[u] = stats.load_rate
                     rs[u] = stats.store_rate
+                    has[u] = True
             row = len(rate_load_rows)
             spec_row[id(spec)] = row
             rate_load_rows.append(rl)
             rate_store_rows.append(rs)
+            has_rows.append(has)
         inst_row[n] = row
         name = spec.site.name
         if name not in site_idx:
@@ -490,6 +513,8 @@ def _build_placement_pack_base(
         slot_of_instance[(name, inst.index)] = n
     rate_load = np.array(rate_load_rows) if rate_load_rows else np.zeros((0, U))
     rate_store = np.array(rate_store_rows) if rate_store_rows else np.zeros((0, U))
+    has_stats = (np.array(has_rows) if has_rows
+                 else np.zeros((0, U), dtype=bool))
 
     pseg = segments.pair_seg
     pinst = segments.pair_inst
@@ -506,17 +531,20 @@ def _build_placement_pack_base(
     kinst = pinst[kpos]
     kseg = pseg[kpos]
     ksite = inst_site[kinst]
-    nsites = max(len(site_names), 1)
-    bkey = kseg * nsites + ksite
-    buniq, bfirst, binv = np.unique(bkey, return_index=True,
-                                    return_inverse=True)
-    gorder = np.argsort(bfirst, kind="stable")
-    gl = np.bincount(binv, weights=pl, minlength=buniq.size)
-    gs = np.bincount(binv, weights=ps, minlength=buniq.size)
+    binv, bfirst, gorder, gseg, gsite = _site_groups(
+        kseg, ksite, max(len(site_names), 1))
+    gl = np.bincount(binv, weights=pl, minlength=bfirst.size)
+    gs = np.bincount(binv, weights=ps, minlength=bfirst.size)
     return _PlacementPackBase(
         site_names=site_names,
         inst_site=inst_site,
+        inst_sf=inst_sf,
         slot_of_instance=slot_of_instance,
+        inst_row=inst_row,
+        seg_pname=seg_pname,
+        rate_load=rate_load,
+        rate_store=rate_store,
+        has_stats=has_stats,
         kseg=kseg,
         kinst=kinst,
         ksite=ksite,
@@ -527,11 +555,148 @@ def _build_placement_pack_base(
         binv=binv,
         bfirst=bfirst,
         gorder=gorder,
-        gcount_f=np.bincount(binv, minlength=buniq.size).astype(float),
-        obj_seg_ord=(buniq // nsites)[gorder].astype(np.int64),
-        obj_site_ord=(buniq % nsites)[gorder].astype(np.int64),
+        gcount_f=np.bincount(binv, minlength=bfirst.size).astype(float),
+        obj_seg_ord=gseg,
+        obj_site_ord=gsite,
         obj_loads_ord=gl[gorder],
         obj_stores_ord=gs[gorder],
+    )
+
+
+def _site_groups(kseg: np.ndarray, ksite: np.ndarray, nsites: int):
+    """Group pairs by (segment, site), the scalar ``by_object`` key order.
+
+    Returns (inverse, first member, first-touch order, segment and site of
+    each group in first-touch order).
+    """
+    key = kseg * nsites + ksite
+    uniq, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    uniq = uniq[order]
+    return (inv, first, order, (uniq // nsites).astype(np.int64),
+            (uniq % nsites).astype(np.int64))
+
+
+def group_records(groups, first, second, has_second=None):
+    """Object rows of per-pair ``record_object`` calls, in dict order.
+
+    ``groups`` = (inverse, first-touch order, segment, site) of the pairs'
+    (segment, site) groups (:meth:`_PlacementPackBase.site_groups`).
+    ``first`` and ``second`` = (column, loads, stores) per pair: each pair
+    records ``first``, then ``second`` where ``has_second``.  Every pair of
+    a group must make the same calls — true for models whose routing
+    depends only on the site and the segment — so a group's keys come in
+    its first member's call order, and ``np.bincount`` sums each key in
+    pair order (the scalar dict's accumulation sequence).  Returns
+    (seg, site, col, loads, stores) rows.
+    """
+    inv, order, gseg, gsite = groups
+    G = order.size
+
+    def rows(col, loads, stores):
+        gcol = np.zeros(G, dtype=np.int64)
+        gcol[inv] = col
+        return (gseg, gsite, gcol[order],
+                np.bincount(inv, weights=loads, minlength=G)[order],
+                np.bincount(inv, weights=stores, minlength=G)[order])
+
+    # each group's first row, then its second where it has one
+    if has_second is None:
+        n_rows, at1, at2, sel = 2 * G, slice(0, None, 2), slice(1, None, 2), ...
+    else:
+        sel = np.zeros(G, dtype=bool)
+        sel[inv] = has_second
+        sel = sel[order]
+        at1 = np.arange(G) + np.cumsum(sel) - sel
+        at2 = at1[sel] + 1
+        n_rows = G + at2.size
+    out = []
+    for a, b in zip(rows(*first), rows(*second)):
+        col = np.empty(n_rows, dtype=a.dtype)
+        col[at1] = a
+        col[at2] = b[sel]
+        out.append(col)
+    return tuple(out)
+
+
+def pack_traffic_calls(
+    num_segments: int,
+    subsystem_names: Sequence[str],
+    site_names: Sequence[str],
+    seg: np.ndarray,
+    calls: Sequence[tuple],
+    objects: Tuple[np.ndarray, ...],
+    trailing: Sequence[tuple] = (),
+) -> TrafficBatch:
+    """Build a :class:`TrafficBatch` from a model's batched calls.
+
+    ``seg`` lists the contributing pairs' segments, in the scalar
+    ``segment_traffic`` order (segments ascending, then live order).
+    ``calls`` are the ``SubsystemTraffic.add`` calls each pair makes, as
+    slots in call order: (column, mask, loads, stores, serial_loads) with
+    per-pair values; the column may be a scalar and the mask None (every
+    pair).  A pair adds to each bucket at most once, so a bucket's sum is
+    a ``np.bincount`` fold over the pairs in order — the scalar's
+    sequence — with exact zeros where a pair does not touch it.
+    ``trailing`` are calls a segment makes after all its pairs', as
+    (segments, column, loads, stores, serial_loads), at most one per
+    bucket.  A bucket's first call ranks it among the segment's buckets:
+    the scalar ``by_subsystem`` insertion order.  ``objects`` = the summed
+    (seg, site, col, loads, stores) object rows in dict order
+    (:func:`group_records`).
+    """
+    K = len(subsystem_names)
+    S = num_segments
+    n = seg.size
+    sums = [np.zeros((S, K)) for _ in range(3)]   # loads, stores, serial
+    never = np.iinfo(np.int64).max
+    first = np.full((S, K), never, dtype=np.int64)
+    pair_pos = np.arange(n) * len(calls)
+    for k in range(K):
+        slots = []
+        for j, (col, mask, *vals) in enumerate(calls):
+            hit = np.asarray(col) == k
+            if mask is not None:
+                hit = hit & mask
+            if hit.any():
+                slots.append((j, hit, vals))
+        if not slots:
+            continue
+        values = [np.zeros(n) for _ in range(3)]
+        pos = np.full(n, never, dtype=np.int64)
+        for j, hit, vals in slots:
+            for acc, v in zip(values, vals):
+                np.add(acc, v, out=acc, where=hit)
+            np.copyto(pos, pair_pos + j, where=hit)
+        # the checks ``SubsystemTraffic.add`` makes on every call
+        if n and min(v.min() for v in values) < 0:
+            raise SimulationError("negative traffic contribution")
+        if np.any(values[2] > values[0]):
+            raise SimulationError("serial_loads cannot exceed loads")
+        for total, v in zip(sums, values):
+            total[:, k] = np.bincount(seg, weights=v, minlength=S)
+        # earliest touching pair per segment (reverse scatter: the last
+        # write survives)
+        touched = np.flatnonzero(pos != never)[::-1]
+        first[seg[touched], k] = pos[touched]
+    for t, (tseg, col, *vals) in enumerate(trailing):
+        for total, v in zip(sums, vals):
+            total[tseg, col] += v
+        first[tseg, col] = np.minimum(first[tseg, col],
+                                      n * len(calls) + t)
+    present = first != never
+    rank = (first[:, None, :] < first[:, :, None]).sum(axis=2)
+    order_pos = np.where(present, np.arange(S)[:, None] * K + rank, np.inf)
+    obj_seg, obj_site, obj_sub, obj_loads, obj_stores = objects
+    return TrafficBatch(
+        subsystems=list(subsystem_names),
+        loads=sums[0], stores=sums[1], serial_loads=sums[2],
+        extra_latency_ns=np.zeros((S, K)),
+        present=present, order_pos=order_pos,
+        site_names=list(site_names),
+        obj_sub_names=list(subsystem_names),
+        obj_seg=obj_seg, obj_site=obj_site, obj_sub=obj_sub,
+        obj_loads=obj_loads, obj_stores=obj_stores,
     )
 
 
@@ -544,11 +709,11 @@ def pack_traffic_multi(
     """Pack several models' traffic over one shared segmentation.
 
     Models are packed strictly in call order, so stateful models (the
-    baselines' hit-ratio and promotion caches) observe the same
-    ``segment_traffic`` call sequence a sequential loop would produce.
-    ``PlacementTraffic`` models share one :class:`_PlacementPackBase`
-    through the cache on ``segments``, so K placements of the same
-    workload re-walk the (segment, instance) pairs exactly once.
+    baselines' hit-ratio and promotion caches) accumulate their state in
+    the order a sequential loop would.  ``PlacementTraffic`` models and
+    the baselines' native packs share one :class:`_PlacementPackBase`
+    through the cache on ``segments``, so K models of the same workload
+    re-walk the (segment, instance) pairs exactly once.
     """
     batches: List[TrafficBatch] = []
     for model in models:

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.apps.registry import get_workload, list_workloads
 from repro.baselines.memory_mode import MemoryModeTraffic, run_memory_mode
 from repro.memsim.subsystem import pmem2_system, pmem6_system
+from repro.runtime.engine import ExecutionEngine
 from repro.units import GiB, MiB
 
-from tests.conftest import make_toy_workload
+from tests.conftest import ScalarOnlyTraffic, make_toy_workload
 
 
 class TestTrafficSplit:
@@ -80,3 +82,20 @@ class TestRunner:
         wl2 = make_toy_workload(hot_rate=4e7)
         assert (run_memory_mode(wl2, pmem2_system()).total_time
                 > run_memory_mode(wl6, pmem6_system()).total_time)
+
+
+class TestTableVIExactness:
+    """``run_memory_mode`` on the native pack == the generic per-segment
+    pack, bit for bit: EXPERIMENTS.md prints these hit ratios, so a
+    1-ULP drift in the batched residency or fold order shows here first."""
+
+    @pytest.mark.parametrize("system_factory", [pmem6_system, pmem2_system])
+    @pytest.mark.parametrize("app", list_workloads())
+    def test_hit_ratio_and_time(self, app, system_factory):
+        wl = get_workload(app)
+        system = system_factory()
+        native = run_memory_mode(wl, system)
+        model = MemoryModeTraffic(wl, system.get("dram").capacity)
+        generic = ExecutionEngine(wl, system).run(ScalarOnlyTraffic(model))
+        assert native.dram_cache_hit_ratio == model.mean_hit_ratio()
+        assert native.total_time == generic.total_time

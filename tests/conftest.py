@@ -68,6 +68,26 @@ def make_toy_workload(
     )
 
 
+class ScalarOnlyTraffic:
+    """Wraps a traffic model, exposing only its scalar ``segment_traffic``.
+
+    The engine then packs the model with the generic
+    :func:`~repro.runtime.traffic.pack_traffic_batch` instead of its native
+    ``traffic_batch``, so the generic packer keeps a differential test of
+    its own.
+    """
+
+    def __init__(self, model):
+        self.model = model
+
+    @property
+    def label(self) -> str:
+        return self.model.label
+
+    def segment_traffic(self, lo, hi, phase_name, live):
+        return self.model.segment_traffic(lo, hi, phase_name, live)
+
+
 @pytest.fixture
 def toy_workload() -> Workload:
     return make_toy_workload()

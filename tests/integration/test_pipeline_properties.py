@@ -9,7 +9,8 @@ calibration values:
 - the production run places every instance somewhere;
 - timing is at least the compute time;
 - traffic is conserved between the engine's phase accounting and the
-  bandwidth timeline.
+  bandwidth timeline;
+- the baselines' native traffic packs equal their scalar oracles.
 """
 
 import pytest
@@ -116,3 +117,24 @@ def test_memory_mode_invariants(wl):
         for sub, n in p.loads_by_subsystem.items():
             loads[sub] += n
     assert loads["dram"] >= loads["pmem"]
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(wl=workloads(), cache_mib=st.integers(min_value=1, max_value=256),
+       reaction_s=st.floats(min_value=0.05, max_value=3.0))
+def test_native_baseline_packs_match_scalar(wl, cache_mib, reaction_s):
+    """The baselines' native packs are exact on random workloads, cache
+    sizes (partial residency) and reaction windows."""
+    from tests.runtime.test_engine_vectorized import (
+        assert_native_pack_exact, combined_model, memory_mode_model,
+        tiering_model,
+    )
+
+    system = pmem6_system()
+    assert_native_pack_exact(wl, system,
+                             memory_mode_model(wl, system, cache_mib * MiB))
+    assert_native_pack_exact(wl, system,
+                             tiering_model(wl, system, reaction_s=reaction_s))
+    assert_native_pack_exact(wl, system,
+                             combined_model(wl, system, reaction_s=reaction_s))

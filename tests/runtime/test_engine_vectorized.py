@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.apps.registry import get_workload
+from repro.apps.workload import AccessStats, ObjectSpec, Phase, Workload
 from repro.baselines.memory_mode import MemoryModeTraffic
 from repro.baselines.tiering import (
     CombinedTraffic,
@@ -27,10 +28,15 @@ from repro.memsim.subsystem import (
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.segments import build_segment_arrays
 from repro.runtime.stats import run_results_identical
-from repro.runtime.traffic import PlacementTraffic, SegmentTraffic
+from repro.runtime.traffic import (
+    PlacementTraffic,
+    SegmentTraffic,
+    _placement_pack_base,
+    pack_traffic_batch,
+)
 from repro.units import GiB, MiB
 
-from tests.conftest import make_toy_workload
+from tests.conftest import ScalarOnlyTraffic, make_site, make_toy_workload
 
 
 def checkerboard_placement(workload, names):
@@ -106,10 +112,21 @@ class TestAppDirectDifferential:
 
 
 class TestBaselineDifferential:
-    """The baselines have no ``traffic_batch``: the engine replays their
-    scalar ``segment_traffic`` through the generic packer, so these runs
-    prove the packed path — matrices, order reconstruction, by-object
-    transcription — not just the vectorized app-direct model."""
+    """The baselines' native ``traffic_batch`` packs, and the generic
+    packer, against the scalar oracle.  Each run goes through the engine
+    twice: with the model itself (its native pack) and behind
+    :class:`ScalarOnlyTraffic`, which hides ``traffic_batch`` so the engine
+    replays ``segment_traffic`` through ``pack_traffic_batch`` — matrices,
+    order reconstruction, by-object transcription.  The generic packer
+    still serves every model without a native pack (the online oracle's
+    patched placements among them), so it keeps its own proof here."""
+
+    @staticmethod
+    def assert_both_packs_identical(workload, system, make_model):
+        assert_runs_identical(workload, system, make_model)
+        assert_runs_identical(
+            workload, system, lambda: ScalarOnlyTraffic(make_model())
+        )
 
     @pytest.mark.parametrize("workload_name", [None, "minife"])
     def test_memory_mode(self, workload_name):
@@ -117,7 +134,7 @@ class TestBaselineDifferential:
               else make_toy_workload())
         system = pmem6_system()
         cache = max(wl.heap_high_water() // 2, 1 * MiB)
-        assert_runs_identical(
+        self.assert_both_packs_identical(
             wl, system, lambda: MemoryModeTraffic(wl, cache)
         )
 
@@ -129,7 +146,7 @@ class TestBaselineDifferential:
         eff = tiering_effective_dram(
             system.get("dram").capacity, system.get("pmem").capacity
         )
-        assert_runs_identical(
+        self.assert_both_packs_identical(
             wl, system, lambda: TieringTraffic(wl, eff)
         )
 
@@ -140,9 +157,206 @@ class TestBaselineDifferential:
             system.get("dram").capacity, system.get("pmem").capacity
         )
         placement, _ = checkerboard_placement(wl, system.names)
-        assert_runs_identical(
+        self.assert_both_packs_identical(
             wl, system, lambda: CombinedTraffic(wl, eff, placement)
         )
+
+
+BATCH_FIELDS = ("loads", "stores", "serial_loads", "extra_latency_ns",
+                "present", "order_pos")
+
+
+def object_rows(batch):
+    """The batch's per-object rows with site and subsystem names mapped."""
+    return [
+        (int(s), batch.site_names[i], batch.obj_sub_names[k], ld, st)
+        for s, i, k, ld, st in zip(batch.obj_seg, batch.obj_site,
+                                   batch.obj_sub, batch.obj_loads,
+                                   batch.obj_stores)
+    ]
+
+
+def side_effects(model):
+    """The state a baseline accumulates while packing."""
+    return (
+        model.mean_hit_ratio() if hasattr(model, "mean_hit_ratio") else None,
+        getattr(model, "_promoted_cache", None),
+    )
+
+
+def assert_native_pack_exact(workload, system, make_model):
+    """Native ``traffic_batch`` == the generic pack, field by field, and
+    the engine run on it == the scalar oracle.  Returns the generic batch.
+    """
+    engine = ExecutionEngine(workload, system)
+    segments = engine._segment_arrays
+    native_model, generic_model = make_model(), make_model()
+    native = native_model.traffic_batch(segments, system.names)
+    generic = pack_traffic_batch(generic_model, workload, segments,
+                                 system.names)
+    for name in BATCH_FIELDS:
+        assert np.array_equal(getattr(native, name),
+                              getattr(generic, name)), name
+    assert object_rows(native) == object_rows(generic)
+    assert side_effects(native_model) == side_effects(generic_model)
+    assert run_results_identical(
+        engine.run(make_model()), engine.run_scalar(make_model())
+    ) == []
+    return generic
+
+
+def memory_mode_model(wl, system, cache=None):
+    cache = system.get("dram").capacity if cache is None else cache
+    return lambda: MemoryModeTraffic(wl, cache)
+
+
+def tiering_model(wl, system, **kw):
+    eff = tiering_effective_dram(
+        system.get("dram").capacity, system.get("pmem").capacity
+    )
+    return lambda: TieringTraffic(wl, eff, **kw)
+
+
+def combined_model(wl, system, placement=None, **kw):
+    eff = tiering_effective_dram(
+        system.get("dram").capacity, system.get("pmem").capacity
+    )
+    if placement is None:
+        placement, _ = checkerboard_placement(wl, system.names)
+    return lambda: CombinedTraffic(wl, eff, placement, **kw)
+
+
+def twin_workload(**overrides):
+    """Two equally dense objects, ``b`` first in live order, plus a cold
+    one; ``overrides`` replace ``b``'s spec fields."""
+    access = {"compute": AccessStats(load_rate=1e6, store_rate=2e5)}
+    b = dict(site=make_site("twin::b"), size=16 * MiB, access=access)
+    b.update(overrides)
+    return Workload(
+        name="twins",
+        phases=[Phase("compute", compute_time=1.0, repeat=3)],
+        objects=[
+            ObjectSpec(**b),
+            ObjectSpec(site=make_site("twin::a"), size=16 * MiB,
+                       access=access),
+            ObjectSpec(site=make_site("twin::cold"), size=64 * MiB,
+                       access={"compute": AccessStats(load_rate=1e4)}),
+        ],
+        ranks=2,
+        conflict_pressure=0.25,
+    )
+
+
+class TestNativeBaselinePacks:
+    """The exactness grid for the baselines' native packs:
+    {memory mode, tiering, combined} x {toy, minife, openfoam on PMem-2
+    (a segment shorter than the float resolution at its start), lulesh
+    on the three-tier system}, plus named cells for each trap the
+    vectorized code has to get exactly right."""
+
+    CELLS = {
+        "toy": (make_toy_workload, pmem6_system),
+        "minife": (lambda: get_workload("minife"), pmem6_system),
+        "openfoam-pmem2": (lambda: get_workload("openfoam"), pmem2_system),
+        "lulesh-3tier": (lambda: get_workload("lulesh"),
+                         hbm_dram_pmem_system),
+    }
+    MODELS = {
+        "memory-mode": memory_mode_model,
+        "tiering": tiering_model,
+        "combined": combined_model,
+    }
+
+    @pytest.mark.parametrize("cell", list(CELLS))
+    @pytest.mark.parametrize("model", list(MODELS))
+    def test_grid(self, model, cell):
+        make_wl, make_system = self.CELLS[cell]
+        wl, system = make_wl(), make_system()
+        assert_native_pack_exact(wl, system, self.MODELS[model](wl, system))
+
+    def test_memory_mode_partial_residency(self):
+        """The budget runs out partway through an object: the hot array
+        fits whole, then the temp (or cold) array gets the remainder."""
+        wl = make_toy_workload()
+        system = pmem6_system()
+        cache = 30 * MiB
+        budget = cache * (1.0 - wl.conflict_pressure)
+        hot, _cold, temp = (o.size * wl.ranks * wl.ws_factor
+                            for o in wl.objects)
+        assert hot < budget < hot + temp
+        assert_native_pack_exact(wl, system,
+                                 memory_mode_model(wl, system, cache))
+
+    @pytest.mark.parametrize("model", list(MODELS))
+    def test_equal_density_ties_keep_live_order(self, model):
+        """``b`` and ``a`` are equally dense; only ``b``, first in live
+        order, fits whole (tiering breaks its ties by name instead)."""
+        wl = twin_workload()
+        system = pmem6_system()
+        twin = 16 * MiB * wl.ranks
+        cache = int(1.5 * twin / (1.0 - wl.conflict_pressure))
+        make = (memory_mode_model(wl, system, cache)
+                if model == "memory-mode"
+                else self.MODELS[model](wl, system))
+        assert_native_pack_exact(wl, system, make)
+
+    @pytest.mark.parametrize("model", list(MODELS))
+    def test_same_site_instances_share_a_segment(self, model):
+        """Overlapping instances of ``b`` are live in one segment: their
+        object rows sum per key in first-touch order."""
+        wl = twin_workload(alloc_count=4, lifetime=1.2, period=0.5)
+        system = pmem6_system()
+        segments = build_segment_arrays(wl)
+        site_of = np.array([i.spec.site.name == "twin::b"
+                            for i in segments.instances])
+        assert np.bincount(segments.pair_seg,
+                           weights=site_of[segments.pair_inst]).max() >= 2
+        assert_native_pack_exact(wl, system, self.MODELS[model](wl, system))
+
+    @pytest.mark.parametrize("model", ["tiering", "combined"])
+    def test_reaction_window_spans_segments(self, model):
+        """A 0.75 s reaction window covers one whole segment and part of
+        the next in the phases the temp allocations split."""
+        wl = make_toy_workload()
+        system = pmem6_system()
+        reaction_s = 0.75
+        segments = build_segment_arrays(wl)
+        start = np.array([s.start for s in wl.spans])[segments.span_idx]
+        in_window = np.bincount(segments.span_idx,
+                                weights=segments.seg_lo < start + reaction_s)
+        assert in_window.max() >= 2
+        assert_native_pack_exact(
+            wl, system, self.MODELS[model](wl, system, reaction_s=reaction_s)
+        )
+
+    def test_combined_static_dram_touched_first(self):
+        """The first live object is statically in DRAM, so the DRAM bucket
+        is created before the PMem one."""
+        wl = make_toy_workload()
+        system = pmem6_system()
+        first = wl.objects[0].site.name
+        placement = {o.site.name: ("dram" if o.site.name == first else "pmem")
+                     for o in wl.objects}
+        generic = assert_native_pack_exact(
+            wl, system, combined_model(wl, system, placement)
+        )
+        dram, pmem = (system.names.index(n) for n in ("dram", "pmem"))
+        both = generic.present[:, dram] & generic.present[:, pmem]
+        assert np.any(generic.order_pos[both, dram]
+                      < generic.order_pos[both, pmem])
+
+    def test_memory_mode_rate_below_traffic_resolution(self):
+        """A nonzero rate whose traffic rounds to zero (the smallest
+        subnormal rate over a 0.3 s segment) still competes for the cache
+        and records its rows, as in the scalar filter."""
+        wl = twin_workload(lifetime=0.3,
+                           access={"compute": AccessStats(load_rate=5e-324)})
+        system = pmem6_system()
+        segments = build_segment_arrays(wl)
+        base = _placement_pack_base(wl, segments)
+        rl, rs = base.pair_rates(segments.pair_seg, segments.pair_inst)
+        assert np.count_nonzero((rl != 0) | (rs != 0)) > base.kseg.size
+        assert_native_pack_exact(wl, system, memory_mode_model(wl, system))
 
 
 class TestSegmentArrays:
