@@ -46,7 +46,6 @@ from repro.pipeline.online import (
 from repro.pipeline.whatif import (
     evaluate_placements,
     rank_placements,
-    whatif_batch_size,
 )
 
 __all__ = [
@@ -70,5 +69,4 @@ __all__ = [
     "static_placement",
     "evaluate_placements",
     "rank_placements",
-    "whatif_batch_size",
 ]

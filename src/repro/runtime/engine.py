@@ -34,8 +34,6 @@ from repro.runtime.delta import (
     PatchedPlacementTraffic,
     changed_suffix_rows,
     compose_batches,
-    normalize_batch_order,
-    subbatch_rows,
 )
 from repro.runtime.segments import SegmentArrays, build_segment_arrays
 from repro.runtime.stats import ObjectRunStats, PhaseResult, RunResult
@@ -45,7 +43,6 @@ from repro.runtime.traffic import (
     TrafficBatch,
     TrafficModel,
     pack_traffic_batch,
-    pack_traffic_multi,
 )
 
 _NS = 1e-9
@@ -242,7 +239,7 @@ class ExecutionEngine:
         stall_time = duration - compute
         return duration, stall_time, lat_by_sub
 
-    def _fixed_point_batch(
+    def _solve(
         self, batch: TrafficBatch, compute: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Run the damped fixed point over all segments simultaneously.
@@ -255,20 +252,22 @@ class ExecutionEngine:
         (``order_pos``); absent subsystems contribute an exact ``+0.0``,
         which cannot perturb the running sum.
 
-        ``compute`` defaults to the segmentation's nominal durations; the
-        what-if path passes the K-times-tiled copy so K placements'
-        (placement, segment) rows iterate as one fused system.  Every
-        operation in the loop is per-row (elementwise, or a reduction
-        along the subsystem axis), so a row's trajectory — including its
-        convergence iteration and frozen latency row — is independent of
-        which other rows share the arrays.
+        ``compute`` defaults to the segmentation's nominal durations, tiled
+        once per stacked copy of the segmentation (:meth:`TrafficBatch.stack`
+        of K packs iterates K placements' rows as one fused system); the
+        delta paths pass the nominal durations of the rows they gathered.
+        Every operation in the loop is per-row (elementwise, or a
+        reduction along the subsystem axis), so a row's trajectory —
+        including its convergence iteration and frozen latency row — is
+        independent of which other rows share the arrays.
         """
         wl = self.workload
         S, K = batch.loads.shape
         subs = [self.system.get(name) for name in batch.subsystems]
         ssf = np.array([sub.store_stall_factor for sub in subs])
         if compute is None:
-            compute = self._segment_arrays.durations_nominal
+            nominal = self._segment_arrays.durations_nominal
+            compute = np.tile(nominal, S // nominal.size)
         total_bytes = batch.total_bytes
         wf = batch.write_fraction
         extra = batch.extra_latency_ns
@@ -348,6 +347,27 @@ class ExecutionEngine:
             active = active[~converged]
         return duration, lat_final
 
+    # -- packing --------------------------------------------------------------------
+
+    def _pack(self, model) -> Tuple[TrafficModel, TrafficBatch]:
+        """Resolve ``model`` and pack its traffic over the segmentation.
+
+        A plain ``{site_name: subsystem}`` mapping becomes a
+        :class:`PlacementTraffic`.  Models with a native ``traffic_batch``
+        use it; the rest replay ``segment_traffic`` through
+        :func:`pack_traffic_batch`.  Every packer emits the canonical
+        ``s*K + rank`` first-touch order, so any two packs' rows compare
+        and splice exactly.
+        """
+        if not (hasattr(model, "segment_traffic")
+                or hasattr(model, "traffic_batch")):
+            model = PlacementTraffic(self.workload, model)
+        sa = self._segment_arrays
+        names = self.system.names
+        if hasattr(model, "traffic_batch"):
+            return model, model.traffic_batch(sa, names)
+        return model, pack_traffic_batch(model, self.workload, sa, names)
+
     # -- the batched run ----------------------------------------------------------
 
     def run(
@@ -363,15 +383,8 @@ class ExecutionEngine:
 
         Vectorized over segments; bit-identical to :meth:`run_scalar`.
         """
-        wl = self.workload
-        sa = self._segment_arrays
-        names = self.system.names
-        if hasattr(model, "traffic_batch"):
-            batch = model.traffic_batch(sa, names)
-        else:
-            batch = pack_traffic_batch(model, wl, sa, names)
-
-        durations, lat_final = self._fixed_point_batch(batch)
+        model, batch = self._pack(model)
+        durations, lat_final = self._solve(batch)
         return self._assemble(
             model, batch, durations, lat_final,
             label=label,
@@ -393,11 +406,12 @@ class ExecutionEngine:
 
         Each element of ``models`` is a traffic model or a plain
         ``{site_name: subsystem}`` mapping (wrapped in
-        :class:`PlacementTraffic`).  The K per-placement traffic splits
-        are packed over one shared segmentation (``pack_traffic_multi``),
-        stacked into a ``(K * segments, subsystems)`` tensor, and iterated
-        through one masked damped fixed point; the lanes then unpack into
-        K :class:`RunResult`\\ s **bit-identical** to K sequential
+        :class:`PlacementTraffic`).  The K packs, made strictly in call
+        order (so stateful baselines accumulate as a sequential loop
+        would) over one shared segmentation, are stacked into a
+        ``(K * segments, subsystems)`` batch and iterated through one
+        masked damped fixed point; the lanes then unpack into K
+        :class:`RunResult`\\ s **bit-identical** to K sequential
         :meth:`run` calls — every fixed-point operation is per-row, so
         fusing rows cannot change any row's trajectory, and the assembly
         replays the exact scalar accumulation orders per lane.
@@ -405,13 +419,7 @@ class ExecutionEngine:
         The optional keyword sequences carry :meth:`run`'s per-run scalar
         arguments, one entry per model.
         """
-        resolved: List[TrafficModel] = []
-        for m in models:
-            if hasattr(m, "segment_traffic") or hasattr(m, "traffic_batch"):
-                resolved.append(m)
-            else:
-                resolved.append(PlacementTraffic(self.workload, m))
-        K = len(resolved)
+        K = len(models)
 
         def _per_model(seq, default, what):
             if seq is None:
@@ -430,7 +438,10 @@ class ExecutionEngine:
         if K == 0:
             return []
 
-        batches, durations, lat_final, S = self._solve_fused(resolved)
+        packed = [self._pack(m) for m in models]
+        durations, lat_final = self._solve(
+            TrafficBatch.stack([batch for _, batch in packed]))
+        S = self._segment_arrays.num_segments
         return [
             self._assemble(
                 model, batch,
@@ -441,7 +452,7 @@ class ExecutionEngine:
                 dram_cache_hit_ratio=hit_ratios[k],
                 interposer_stats=istats[k],
             )
-            for k, (model, batch) in enumerate(zip(resolved, batches))
+            for k, (model, batch) in enumerate(packed)
         ]
 
     def predict_times(
@@ -452,8 +463,8 @@ class ExecutionEngine:
     ) -> List[float]:
         """Predicted total runtime for K candidates, without result assembly.
 
-        The what-if query path: same shared packing and fused fixed point
-        as :meth:`run_batch`, but each lane only reduces its converged
+        The what-if query path: same packing and fused fixed point as
+        :meth:`run_batch`, but each lane only reduces its converged
         durations to a total time — ``float(np.cumsum(d)[-1])`` plus the
         interposer overhead, the exact expression :meth:`_assemble` uses —
         so every returned float is bit-equal to the ``total_time`` of the
@@ -462,13 +473,7 @@ class ExecutionEngine:
         per-phase assembly is what makes ranking K candidates cheap: only
         the chosen candidate needs a full :meth:`run`.
         """
-        resolved: List[TrafficModel] = []
-        for m in models:
-            if hasattr(m, "segment_traffic") or hasattr(m, "traffic_batch"):
-                resolved.append(m)
-            else:
-                resolved.append(PlacementTraffic(self.workload, m))
-        K = len(resolved)
+        K = len(models)
         if interposer_overheads_s is None:
             overheads: List[float] = [0.0] * K
         else:
@@ -480,40 +485,13 @@ class ExecutionEngine:
                 )
         if K == 0:
             return []
-        _, durations, _, S = self._solve_fused(resolved)
+        durations, _ = self._solve(
+            TrafficBatch.stack([self._pack(m)[1] for m in models]))
+        S = self._segment_arrays.num_segments
         return [
             float(np.cumsum(durations[k * S:(k + 1) * S])[-1]) + overheads[k]
             for k in range(K)
         ]
-
-    def _solve_fused(
-        self, resolved: Sequence[TrafficModel]
-    ) -> Tuple[List[TrafficBatch], np.ndarray, np.ndarray, int]:
-        """Pack K models and run their fused (K*S, subsystems) fixed point."""
-        sa = self._segment_arrays
-        names = self.system.names
-        batches = pack_traffic_multi(resolved, self.workload, sa, names)
-        S = sa.num_segments
-        K = len(batches)
-        fused = TrafficBatch(
-            subsystems=list(names),
-            loads=np.concatenate([b.loads for b in batches]),
-            stores=np.concatenate([b.stores for b in batches]),
-            serial_loads=np.concatenate([b.serial_loads for b in batches]),
-            extra_latency_ns=np.concatenate(
-                [b.extra_latency_ns for b in batches]),
-            present=np.concatenate([b.present for b in batches]),
-            order_pos=np.concatenate([b.order_pos for b in batches]),
-            site_names=[], obj_sub_names=[],
-            obj_seg=np.zeros(0, dtype=np.int64),
-            obj_site=np.zeros(0, dtype=np.int64),
-            obj_sub=np.zeros(0, dtype=np.int64),
-            obj_loads=np.zeros(0), obj_stores=np.zeros(0),
-        )
-        durations, lat_final = self._fixed_point_batch(
-            fused, compute=np.tile(sa.durations_nominal, K)
-        )
-        return batches, durations, lat_final, S
 
     # -- incremental re-advisory (the delta engine) --------------------------------
 
@@ -529,21 +507,12 @@ class ExecutionEngine:
         """:meth:`run`, but return a :class:`DeltaState` for suffix patching.
 
         The returned state's ``result`` is bit-identical to a plain
-        :meth:`run` of ``model``: the only difference from :meth:`run` is
-        that the batch's first-touch positions are rewritten into the
-        canonical ``s*K + rank`` scheme (:func:`normalize_order_pos`),
-        which preserves every ordering comparison downstream while making
-        the cached rows composable with rows packed by any other path.
+        :meth:`run` of ``model``; the state keeps the packed batch and
+        the converged rows, whose canonical first-touch order makes them
+        composable with rows packed from any other placement.
         """
-        wl = self.workload
-        sa = self._segment_arrays
-        names = self.system.names
-        if hasattr(model, "traffic_batch"):
-            batch = model.traffic_batch(sa, names)
-        else:
-            batch = pack_traffic_batch(model, wl, sa, names)
-        batch = normalize_batch_order(batch)
-        durations, lat_final = self._fixed_point_batch(batch)
+        model, batch = self._pack(model)
+        durations, lat_final = self._solve(batch)
         result = self._assemble(
             model, batch, durations, lat_final,
             label=label,
@@ -559,12 +528,6 @@ class ExecutionEngine:
             dram_cache_hit_ratio=dram_cache_hit_ratio,
             interposer_stats=interposer_stats,
         )
-
-    def _suffix_batch(self, placement_of: Dict[str, str]) -> TrafficBatch:
-        """Canonical-order pack of ``placement_of`` over the shared grid."""
-        suffix = PlacementTraffic(self.workload, placement_of)
-        batch = suffix.traffic_batch(self._segment_arrays, self.system.names)
-        return normalize_batch_order(batch)
 
     def _check_boundary(self, boundary_seg: int) -> float:
         S = self._segment_arrays.num_segments
@@ -604,23 +567,20 @@ class ExecutionEngine:
         sa = self._segment_arrays
         switch_time = self._check_boundary(boundary_seg)
         patched = PatchedPlacementTraffic(state.model, placement_of, switch_time)
-        suffix = self._suffix_batch(patched.placement_of)
+        _, suffix = self._pack(patched.suffix)
         composed = compose_batches(state.batch, suffix, boundary_seg)
         changed = changed_suffix_rows(state.batch, suffix, boundary_seg)
 
         durations = state.durations.copy()
         lat_final = state.lat_final.copy()
-        if changed.size:
-            sub = subbatch_rows(composed, changed)
-            d, lat = self._fixed_point_batch(
-                sub, compute=sa.durations_nominal[changed]
-            )
-            durations[changed] = d
-            lat_final[changed] = lat
+        durations[changed], lat_final[changed] = self._solve(
+            suffix.take(changed), compute=sa.durations_nominal[changed]
+        )
 
+        label = label if label is not None else state.label
         result = self._assemble(
             patched, composed, durations, lat_final,
-            label=label if label is not None else state.label,
+            label=label,
             interposer_overhead_s=state.interposer_overhead_s,
             dram_cache_hit_ratio=state.dram_cache_hit_ratio,
             interposer_stats=state.interposer_stats,
@@ -629,7 +589,7 @@ class ExecutionEngine:
             model=patched, batch=composed,
             durations=durations, lat_final=lat_final,
             result=result,
-            label=label if label is not None else state.label,
+            label=label,
             interposer_overhead_s=state.interposer_overhead_s,
             dram_cache_hit_ratio=state.dram_cache_hit_ratio,
             interposer_stats=state.interposer_stats,
@@ -645,7 +605,7 @@ class ExecutionEngine:
 
         The online what-if path: all K candidates share ``state``'s
         frozen prefix rows, their changed suffix rows are gathered into
-        **one** fused fixed-point tensor, and each lane reduces to
+        **one** fused fixed-point batch, and each lane reduces to
         ``float(np.cumsum(d)[-1])`` plus ``state``'s interposer overhead
         — the exact total-time expression of :meth:`run_incremental` (and
         hence of a from-scratch :meth:`run` of the patched model).  No
@@ -654,51 +614,25 @@ class ExecutionEngine:
         """
         sa = self._segment_arrays
         self._check_boundary(boundary_seg)
-        K = len(placements)
-        if K == 0:
+        if not placements:
             return []
-        suffixes = [self._suffix_batch(p) for p in placements]
+        suffixes = [self._pack(p)[1] for p in placements]
         changed = [
             changed_suffix_rows(state.batch, suf, boundary_seg)
             for suf in suffixes
         ]
-        rows = [
-            subbatch_rows(suf, ch)
-            for suf, ch in zip(suffixes, changed)
-            if ch.size
-        ]
-        if rows:
-            fused = TrafficBatch(
-                subsystems=list(self.system.names),
-                loads=np.concatenate([b.loads for b in rows]),
-                stores=np.concatenate([b.stores for b in rows]),
-                serial_loads=np.concatenate([b.serial_loads for b in rows]),
-                extra_latency_ns=np.concatenate(
-                    [b.extra_latency_ns for b in rows]),
-                present=np.concatenate([b.present for b in rows]),
-                order_pos=np.concatenate([b.order_pos for b in rows]),
-                site_names=[], obj_sub_names=[],
-                obj_seg=np.zeros(0, dtype=np.int64),
-                obj_site=np.zeros(0, dtype=np.int64),
-                obj_sub=np.zeros(0, dtype=np.int64),
-                obj_loads=np.zeros(0), obj_stores=np.zeros(0),
-            )
-            solved, _ = self._fixed_point_batch(
-                fused,
-                compute=np.concatenate(
-                    [sa.durations_nominal[ch] for ch in changed if ch.size]
-                ),
-            )
-        else:
-            solved = np.zeros(0)
+        solved, _ = self._solve(
+            TrafficBatch.stack(
+                [suf.take(ch) for suf, ch in zip(suffixes, changed)]),
+            compute=sa.durations_nominal[np.concatenate(changed)],
+        )
 
         times: List[float] = []
         at = 0
         for ch in changed:
             durations = state.durations.copy()
-            if ch.size:
-                durations[ch] = solved[at:at + ch.size]
-                at += ch.size
+            durations[ch] = solved[at:at + ch.size]
+            at += ch.size
             times.append(
                 float(np.cumsum(durations)[-1]) + state.interposer_overhead_s
             )

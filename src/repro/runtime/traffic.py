@@ -91,9 +91,12 @@ class TrafficBatch:
     Matrices are (num_segments, num_subsystems) with the column order of
     ``subsystems``.  ``present`` marks cells whose ``SubsystemTraffic``
     bucket exists in the scalar representation (a bucket can exist with
-    zero traffic), and ``order_pos`` carries a globally monotonic
-    first-touch position so the scalar dicts' insertion order — which
-    fixes the floating-point accumulation order — can be reconstructed.
+    zero traffic), and ``order_pos`` carries the canonical first-touch
+    position ``s*K + rank`` (``rank`` = the bucket's insertion rank in the
+    scalar ``by_subsystem`` dict, ``+inf`` where absent) so the dicts'
+    insertion order — which fixes the floating-point accumulation order —
+    can be reconstructed.  Every packer emits this scheme, so rows from
+    different packs compare and splice exactly.
 
     ``obj_*`` arrays flatten the per-segment ``by_object`` dicts: one row
     per (segment, site, subsystem) key with the segment-summed loads and
@@ -134,6 +137,53 @@ class TrafficBatch:
         out = np.zeros_like(total)
         np.divide(self.write_bytes, total, out=out, where=total > 0)
         return out
+
+    @classmethod
+    def stack(cls, batches: Sequence["TrafficBatch"]) -> "TrafficBatch":
+        """The batches' segment rows one after another, as one fused batch.
+
+        Every fixed-point operation is per row, so a row solves
+        identically alone, in its own batch, or fused with others.
+        """
+        return cls._rows_only(batches[0].subsystems, lambda f: np.concatenate(
+            [getattr(b, f) for b in batches]))
+
+    def take(self, rows: np.ndarray) -> "TrafficBatch":
+        """Only segment rows ``rows``, gathered for the fixed point."""
+        return self._rows_only(self.subsystems,
+                               lambda f: getattr(self, f)[rows])
+
+    @classmethod
+    def _rows_only(cls, subsystems, rows_of) -> "TrafficBatch":
+        """A batch of the per-segment matrices alone: the fixed point never
+        reads object rows, so they are left empty."""
+        return cls(
+            subsystems=list(subsystems),
+            **{f: rows_of(f) for f in _ROW_FIELDS},
+            site_names=[], obj_sub_names=[],
+            obj_seg=_EMPTY_I, obj_site=_EMPTY_I, obj_sub=_EMPTY_I,
+            obj_loads=_EMPTY_F, obj_stores=_EMPTY_F,
+        )
+
+
+#: the per-segment (S, K) matrices of a :class:`TrafficBatch`
+_ROW_FIELDS = ("loads", "stores", "serial_loads", "extra_latency_ns",
+               "present", "order_pos")
+_EMPTY_I = np.empty(0, dtype=np.int64)
+_EMPTY_F = np.empty(0, dtype=float)
+
+
+def _canonical_order(first: np.ndarray, never) -> np.ndarray:
+    """First-touch keys ``first`` (``never`` where untouched) as ``order_pos``.
+
+    A bucket's rank among its segment's touched buckets is its scalar
+    ``by_subsystem`` insertion rank; re-based at ``s*K`` it is the
+    canonical position every packer emits.
+    """
+    S, K = first.shape
+    present = first != never
+    rank = (first[:, None, :] < first[:, :, None]).sum(axis=2)
+    return np.where(present, np.arange(S)[:, None] * K + rank, np.inf)
 
 
 def pack_traffic_batch(
@@ -330,14 +380,15 @@ class PlacementTraffic:
                              minlength=S * K).reshape(S, K)
         serial = np.bincount(flat, weights=base.pser,
                              minlength=S * K).reshape(S, K)
-        # first-touch position per (segment, column): kpos_f is strictly
-        # increasing, so "min kpos per bucket" == "kpos of the first
-        # occurrence" == the value left standing after a reverse-order
-        # scatter store (fancy assignment keeps the last write).
-        flat_op = np.full(S * K, np.inf)
-        flat_op[flat[::-1]] = base.kpos_f[::-1]
-        order_pos = flat_op.reshape(S, K)
-        present = np.isfinite(order_pos)
+        # first touching kept pair per (segment, column): the value left
+        # standing after a reverse-order scatter store (fancy assignment
+        # keeps the last write)
+        never = np.iinfo(np.int64).max
+        first = np.full(S * K, never, dtype=np.int64)
+        first[flat[::-1]] = np.arange(flat.size)[::-1]
+        first = first.reshape(S, K)
+        order_pos = _canonical_order(first, never)
+        present = first != never
 
         # Per-(segment, site, subsystem) sums in first-touch order.  The
         # (segment, site) grouping is placement-independent and precomputed
@@ -424,7 +475,6 @@ class _PlacementPackBase:
     kseg: np.ndarray                  # kept pairs: segment index
     kinst: np.ndarray                 # kept pairs: instance index
     ksite: np.ndarray                 # kept pairs: site index
-    kpos_f: np.ndarray                # kept pairs: global first-touch pos
     pl: np.ndarray                    # kept pairs: load contribution
     ps: np.ndarray                    # kept pairs: store contribution
     pser: np.ndarray                  # kept pairs: serialized loads
@@ -548,7 +598,6 @@ def _build_placement_pack_base(
         kseg=kseg,
         kinst=kinst,
         ksite=ksite,
-        kpos_f=kpos.astype(float),
         pl=pl,
         ps=ps,
         pser=pl * inst_sf[kinst],
@@ -684,9 +733,8 @@ def pack_traffic_calls(
             total[tseg, col] += v
         first[tseg, col] = np.minimum(first[tseg, col],
                                       n * len(calls) + t)
+    order_pos = _canonical_order(first, never)
     present = first != never
-    rank = (first[:, None, :] < first[:, :, None]).sum(axis=2)
-    order_pos = np.where(present, np.arange(S)[:, None] * K + rank, np.inf)
     obj_seg, obj_site, obj_sub, obj_loads, obj_stores = objects
     return TrafficBatch(
         subsystems=list(subsystem_names),
@@ -698,29 +746,3 @@ def pack_traffic_calls(
         obj_seg=obj_seg, obj_site=obj_site, obj_sub=obj_sub,
         obj_loads=obj_loads, obj_stores=obj_stores,
     )
-
-
-def pack_traffic_multi(
-    models: Sequence["TrafficModel"],
-    workload: Workload,
-    segments: SegmentArrays,
-    subsystem_names: Sequence[str],
-) -> List[TrafficBatch]:
-    """Pack several models' traffic over one shared segmentation.
-
-    Models are packed strictly in call order, so stateful models (the
-    baselines' hit-ratio and promotion caches) accumulate their state in
-    the order a sequential loop would.  ``PlacementTraffic`` models and
-    the baselines' native packs share one :class:`_PlacementPackBase`
-    through the cache on ``segments``, so K models of the same workload
-    re-walk the (segment, instance) pairs exactly once.
-    """
-    batches: List[TrafficBatch] = []
-    for model in models:
-        if hasattr(model, "traffic_batch"):
-            batches.append(model.traffic_batch(segments, subsystem_names))
-        else:
-            batches.append(
-                pack_traffic_batch(model, workload, segments, subsystem_names)
-            )
-    return batches

@@ -59,6 +59,7 @@ class TestEcoHMEMBatch:
             EcoCell(dram_limit=16 * MiB),
             EcoCell(dram_limit=64 * MiB, use_stores=False),
             EcoCell(dram_limit=64 * MiB, algorithm="bw-aware"),
+            EcoCell(dram_limit=64 * MiB, pebs_hz=20.0),
         ]
 
     def test_matches_sequential_run_ecohmem(self, system6):
@@ -69,13 +70,10 @@ class TestEcoHMEMBatch:
 
         wl = make_toy_workload()
         batch = run_ecohmem_batch(wl, system6, self._cells())
-        assert len(batch) == 4
+        assert len(batch) == 5
         for cell, got in zip(self._cells(), batch):
-            want = run_ecohmem(
-                wl, system6, **{k: v for k, v in asdict(cell).items()
-                                if k != "pebs_hz"},
-                profile_store=None,
-            )
+            want = run_ecohmem(wl, system6, **asdict(cell),
+                               profile_store=None)
             errs = run_results_identical(got.run, want.run)
             assert not errs, (cell, errs[:5])
             assert got.site_placement == want.site_placement

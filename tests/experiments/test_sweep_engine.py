@@ -12,14 +12,17 @@ import os
 import pytest
 
 from repro.errors import ConfigError
-from repro.experiments.fig6_sweep import _cell_task, compute_fig6
+from repro.experiments.fig6_sweep import _cell_group_task, compute_fig6
 from repro.experiments.parallel import run_sweep
 from repro.experiments.sweep import (
     SweepManifest,
     SweepWorkerDied,
     run_scheduled,
 )
-from repro.experiments.tab8_full_apps import _tab8_baseline_task, _tab8_task
+from repro.experiments.tab8_full_apps import (
+    _tab8_baseline_task,
+    _tab8_group_task,
+)
 
 
 def _square(x):
@@ -88,19 +91,19 @@ class TestExperimentIdentity:
     @pytest.fixture(scope="class")
     def tab8_specs(self):
         base = _tab8_baseline_task("openfoam")
-        return [("openfoam", "density", 11, 11, base),
-                ("openfoam", "bw-aware", 11, 11, base)]
+        return [("openfoam", (("density", 11),), 11, base),
+                ("openfoam", (("bw-aware", 11),), 11, base)]
 
     @pytest.mark.parametrize("jobs", [1, 2, 0])
     def test_tab8_scheduled_bit_identical(self, tab8_specs, jobs):
-        oracle = run_sweep(_tab8_task, tab8_specs, jobs=1)
-        assert run_scheduled(_tab8_task, tab8_specs, jobs=jobs) == oracle
+        oracle = run_sweep(_tab8_group_task, tab8_specs, jobs=1)
+        assert run_scheduled(_tab8_group_task, tab8_specs, jobs=jobs) == oracle
 
     def test_fig6_cell_scheduled_equals_run_sweep(self):
-        specs = [("minife", 6, 12, "loads", 11, 100.0),
-                 ("minife", 6, 12, "loads+stores", 11, 100.0)]
-        assert run_scheduled(_cell_task, specs, jobs=2) == \
-            run_sweep(_cell_task, specs, jobs=1)
+        specs = [("minife", 6, (12,), ("loads",), 11, 100.0),
+                 ("minife", 6, (12,), ("loads+stores",), 11, 100.0)]
+        assert run_scheduled(_cell_group_task, specs, jobs=2) == \
+            run_sweep(_cell_group_task, specs, jobs=1)
 
 
 class TestWorkerDeath:

@@ -247,12 +247,20 @@ def twin_workload(**overrides):
     )
 
 
+def placement_model(wl, system):
+    placement, overrides = checkerboard_placement(wl, system.names)
+    return lambda: PlacementTraffic(wl, placement, overrides)
+
+
 class TestNativeBaselinePacks:
-    """The exactness grid for the baselines' native packs:
-    {memory mode, tiering, combined} x {toy, minife, openfoam on PMem-2
-    (a segment shorter than the float resolution at its start), lulesh
-    on the three-tier system}, plus named cells for each trap the
-    vectorized code has to get exactly right."""
+    """The exactness grid for the native packs of the app-direct
+    placement and the baselines: {placement, memory mode, tiering,
+    combined} x {toy, minife, openfoam on PMem-2 (a segment shorter than
+    the float resolution at its start), lulesh on the three-tier
+    system}, plus named cells for each trap the vectorized code has to
+    get exactly right.  Every field is compared by exact equality —
+    ``order_pos`` too, so each packer must emit the canonical
+    ``s*K + rank`` first-touch order itself."""
 
     CELLS = {
         "toy": (make_toy_workload, pmem6_system),
@@ -262,6 +270,7 @@ class TestNativeBaselinePacks:
                          hbm_dram_pmem_system),
     }
     MODELS = {
+        "placement": placement_model,
         "memory-mode": memory_mode_model,
         "tiering": tiering_model,
         "combined": combined_model,

@@ -22,7 +22,7 @@ from repro.memsim.subsystem import (
     pmem2_system,
     pmem6_system,
 )
-from repro.runtime.delta import PatchedPlacementTraffic, normalize_order_pos
+from repro.runtime.delta import PatchedPlacementTraffic
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.online import (
     OnlineParams,
@@ -200,15 +200,6 @@ def test_boundary_validation():
             engine.run_incremental(state, after, bad)
         with pytest.raises(SimulationError):
             engine.predict_times_incremental(state, [after], bad)
-
-
-def test_normalize_order_pos_idempotent_and_order_preserving():
-    raw = np.array([[7.0, np.inf, 2.0], [11.0, 10.0, np.inf]])
-    norm = normalize_order_pos(raw)
-    # canonical scheme: row s spans [s*K, (s+1)*K), ranked by raw order
-    assert norm[0, 2] == 0.0 and norm[0, 0] == 1.0 and norm[0, 1] == np.inf
-    assert norm[1, 1] == 3.0 and norm[1, 0] == 4.0 and norm[1, 2] == np.inf
-    assert np.array_equal(normalize_order_pos(norm), norm)
 
 
 # -- phase detection -----------------------------------------------------------

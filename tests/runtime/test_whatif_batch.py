@@ -175,15 +175,13 @@ class TestPlainDictCandidates:
 class TestEvaluatePlacements:
     """The pipeline front door: chunked fused passes, same numbers."""
 
-    def test_chunking_is_invisible(self, monkeypatch):
+    def test_chunking_is_invisible(self):
         wl = get_workload("minife")
         system = pmem6_system()
         cands = [p for p, _ in candidate_placements(wl, system.names, 7)]
         whole = evaluate_placements(wl, system, cands)
         chunked = evaluate_placements(wl, system, cands, batch_size=3)
         assert chunked == whole
-        monkeypatch.setenv("REPRO_WHATIF_BATCH", "2")
-        assert evaluate_placements(wl, system, cands) == whole
 
     def test_full_results_match_predictions(self):
         wl = make_toy_workload()
