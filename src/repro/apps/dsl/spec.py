@@ -137,7 +137,13 @@ class DistSpec:
         weights = p.get("weights")
         prob = None
         if weights is not None:
-            total = float(sum(weights))
+            # left to right, not builtin sum(): that one compensates float
+            # rounding from Python 3.12 on, so the probabilities (and
+            # every stream drawn after them) would depend on the version
+            total = 0
+            for w in weights:
+                total += w
+            total = float(total)
             prob = [w / total for w in weights]
         return values[int(rng.choice(len(values), p=prob))]
 

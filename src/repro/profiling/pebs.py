@@ -108,9 +108,8 @@ class PEBSSampler:
         """Array form of :meth:`sample_interval` for vectorized callers.
 
         ``events[i]`` is the true event count of ``keys[i]``.  The RNG
-        call pattern and float arithmetic are identical to the dict form
-        (the total is accumulated left-to-right like ``sum()`` over dict
-        values), so both entry points draw bit-identical batches.
+        call pattern and float arithmetic are identical to the dict form,
+        so both entry points draw bit-identical batches.
         """
         weights = np.asarray(events, dtype=float)
         total, n_samples, draws = self.sample_counts(start, end, weights)
@@ -139,8 +138,12 @@ class PEBSSampler:
         """
         if end <= start:
             raise ConfigError(f"empty sampling interval [{start}, {end})")
-        # left-to-right accumulation, matching ``sum()`` over dict values
-        total = float(sum(weights.tolist()))
+        # Added one by one, left to right: builtin ``sum()`` compensates
+        # float rounding from Python 3.12 on, so it would give a
+        # version-dependent total.
+        total = 0.0
+        for w in weights.tolist():
+            total += w
         if total < self.config.min_events:
             return total, 0, None
 
@@ -172,12 +175,10 @@ class PEBSSampler:
         ``counts`` holds the (positive) per-key sample counts in batch
         order.  One uniform draw covers every key — consecutive uniform
         calls read the bit stream sequentially, so one draw of the total
-        splits into the same per-key values — and each key's segment is
-        sorted in place, reproducing the per-key ``sort()``.
+        splits into the same per-key values — and one segmented sort (by
+        key, then by time) orders each key's segment, reproducing the
+        per-key ``sort()``.
         """
         ts = self._rng.uniform(start, end, size=int(counts.sum()))
-        offset = 0
-        for c in counts.tolist():
-            ts[offset:offset + c].sort()
-            offset += c
-        return ts
+        seg = np.repeat(np.arange(counts.size), counts)
+        return ts[np.lexsort((ts, seg))]

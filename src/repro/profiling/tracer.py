@@ -17,10 +17,11 @@ Two implementations share one definition of the run:
 - :meth:`ExtraeTracer.run` — the vectorized cold path.  The per-window
   x per-instance true event counts are precomputed as NumPy matrices
   (span overlap geometry via ``searchsorted``/broadcasting), and sample
-  materialization is batched: offsets/latencies are drawn per key in the
-  same RNG call order as the scalar loop, addresses resolve through
-  :meth:`LiveObjectTable.lookup_batch`, and batches append to the
-  trace's columnar storage.
+  materialization is batched: timestamps and store offsets are one draw
+  per window, load offsets/latencies are drawn per key (they interleave
+  in the stream), all in the scalar loop's RNG order; addresses resolve
+  through :meth:`LiveObjectTable.lookup_batch`, and batches append to
+  the trace's columnar storage.
 - :meth:`ExtraeTracer.run_scalar` — the original per-event loop, kept
   as the equivalence oracle (same pattern as
   ``SetAssociativeCache.access_stream_scalar``).
@@ -65,6 +66,36 @@ class TracerConfig:
     #: per-rank load-imbalance jitter (lognormal sigma) applied to the
     #: true event counts a rank's sampler sees; 0 = perfectly symmetric
     rank_jitter: float = 0.0
+
+
+class _LiveColumns:
+    """The live instances as matrix columns and base addresses, kept up to
+    date on alloc/free edges, in the live dict's order (allocation order:
+    each instance is allocated once), which is the order the sampler
+    attributes samples in."""
+
+    def __init__(self, n_instances: int):
+        self._slot_of = np.empty(n_instances, dtype=np.intp)  # col -> slot
+        self._alive = np.zeros(n_instances, dtype=bool)
+        self._col = np.empty(n_instances, dtype=np.intp)
+        self._base = np.empty(n_instances, dtype=np.int64)
+        self._n = 0
+
+    def add(self, col: int, base: int) -> None:
+        slot = self._n
+        self._slot_of[col] = slot
+        self._alive[slot] = True
+        self._col[slot] = col
+        self._base[slot] = base
+        self._n += 1
+
+    def remove(self, col: int) -> None:
+        self._alive[self._slot_of[col]] = False
+
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(columns, base addresses)`` of the live instances."""
+        slots = np.flatnonzero(self._alive[:self._n])
+        return self._col[slots], self._base[slots]
 
 
 class ExtraeTracer:
@@ -134,10 +165,10 @@ class ExtraeTracer:
         # Timeline of alloc/free edges, processed in time order so the live
         # table is correct at every sampling window.
         instances = wl.instances()
-        edges: List[Tuple[float, int, InstanceSpan]] = []
-        for inst in instances:
-            edges.append((inst.start, 0, inst))  # 0 = alloc sorts before free
-            edges.append((inst.end, 1, inst))
+        edges: List[Tuple[float, int, InstanceSpan, int]] = []
+        for col, inst in enumerate(instances):
+            edges.append((inst.start, 0, inst, col))  # 0 = alloc sorts before free
+            edges.append((inst.end, 1, inst, col))
         edges.sort(key=lambda e: (e[0], e[1]))
 
         duration = wl.nominal_duration
@@ -149,6 +180,7 @@ class ExtraeTracer:
         addr_of: Dict[Tuple[str, int], int] = {}  # (site, instance) -> address
         edge_i = 0
         live: Dict[Tuple[str, int], InstanceSpan] = {}
+        columns = _LiveColumns(len(instances))
 
         for wi in range(len(win_lo)):
             lo, hi = win_lo[wi], win_hi[wi]
@@ -157,23 +189,23 @@ class ExtraeTracer:
             # the live table consistent with overlap-based counts below)
             while edge_i < len(edges) and edges[edge_i][0] <= lo:
                 self._apply_edge(edges[edge_i], heap, table, trace, process,
-                                 addr_of, live, fmt, rank)
+                                 addr_of, live, columns, fmt, rank)
                 edge_i += 1
             if vectorized:
-                self._sample_window_vec(wi, lo, hi, live, addr_of, table,
-                                        sampler, trace, rank, geometry)
+                self._sample_window_vec(wi, lo, hi, columns, table, sampler,
+                                        trace, rank, geometry)
             else:
                 self._sample_window(lo, hi, live, addr_of, table, sampler,
                                     trace, rank)
             # edges strictly inside the window
             while edge_i < len(edges) and edges[edge_i][0] < hi:
                 self._apply_edge(edges[edge_i], heap, table, trace, process,
-                                 addr_of, live, fmt, rank)
+                                 addr_of, live, columns, fmt, rank)
                 edge_i += 1
         # drain remaining frees at the end of the run
         while edge_i < len(edges):
             self._apply_edge(edges[edge_i], heap, table, trace, process,
-                             addr_of, live, fmt, rank)
+                             addr_of, live, columns, fmt, rank)
             edge_i += 1
 
         trace.sort()
@@ -196,8 +228,8 @@ class ExtraeTracer:
         return lo, hi
 
     def _apply_edge(self, edge, heap, table, trace, process, addr_of, live,
-                    fmt, rank) -> None:
-        time_, kind, inst = edge
+                    columns, fmt, rank) -> None:
+        time_, kind, inst, col = edge
         key = (inst.spec.site.name, inst.index)
         if kind == 0:
             alloc = heap.allocate(inst.spec.size)
@@ -205,6 +237,7 @@ class ExtraeTracer:
             table.insert(alloc.address, inst.spec.size, site_key, time_)
             addr_of[key] = alloc.address
             live[key] = inst
+            columns.add(col, alloc.address)
             trace.add_alloc(AllocEvent(
                 time=time_, address=alloc.address, size=inst.spec.size,
                 site_key=site_key, rank=rank,
@@ -216,6 +249,7 @@ class ExtraeTracer:
             heap.free(address)
             table.remove(address)
             live.pop(key, None)
+            columns.remove(col)
             trace.add_free(FreeEvent(time=time_, address=address, rank=rank))
 
     # -- vectorized window geometry -------------------------------------------
@@ -270,30 +304,21 @@ class ExtraeTracer:
         vis = np.array([i.spec.sampling_visibility for i in instances])
         sizes = np.fromiter((i.spec.size for i in instances),
                             dtype=np.int64, count=n_i)
-        col_of = {
-            (inst.spec.site.name, inst.index): i
-            for i, inst in enumerate(instances)
-        }
         return {"load": e_load, "store": e_store, "vis": vis,
-                "starts": starts, "ends": ends, "sizes": sizes,
-                "col_of": col_of}
+                "starts": starts, "ends": ends, "sizes": sizes}
 
-    def _sample_window_vec(self, wi, lo, hi, live, addr_of, table, sampler,
+    def _sample_window_vec(self, wi, lo, hi, columns, table, sampler,
                            trace, rank, geometry) -> None:
-        if not live:
+        idx, bases = columns.arrays()
+        n = idx.size
+        if n == 0:
             return
-        col_of = geometry["col_of"]
-        keys = list(live.keys())
-        n = len(keys)
-        idx = np.fromiter((col_of[k] for k in keys), dtype=np.intp, count=n)
         vis = geometry["vis"][idx]
         # clip each key's live span to the window: a sample on a freed
         # object would be unmatchable
         t_lo = np.maximum(lo, geometry["starts"][idx])
         t_hi = np.minimum(hi, geometry["ends"][idx])
         highs = np.maximum(geometry["sizes"][idx] - 8, 1)
-        bases = np.fromiter((addr_of[k] for k in keys), dtype=np.int64,
-                            count=n)
         span = hi - lo
         rng = self._sample_rng
         for counter, matrix in ((HardwareCounter.LLC_LOAD_MISS, geometry["load"]),
@@ -326,22 +351,32 @@ class ExtraeTracer:
                 sel, counts, tl, th = sel[ok], counts[ok], tl[ok], th[ok]
                 if sel.size == 0:
                     continue
-            # The per-key RNG draws (offsets, then latencies) preserve the
-            # scalar call order exactly; everything else runs once per
-            # window on the concatenated batch.
-            is_load = counter is HardwareCounter.LLC_LOAD_MISS
-            off_parts: List[np.ndarray] = []
-            lat_parts: List[np.ndarray] = []
-            if is_load:
-                for h, c in zip(highs[sel].tolist(), counts.tolist()):
-                    off_parts.append(rng.integers(0, h, size=c))
-                    lat_parts.append(rng.normal(200.0, 40.0, size=c))
+            # Offsets and latencies come from the same stream as the scalar
+            # loop, in the same order.  A store window draws only offsets,
+            # so one array-bounded call covers every key; a load window
+            # interleaves each key's offsets with its latencies and stays
+            # per key (a one-sample key uses the cheaper scalar form, which
+            # consumes the stream like ``size=1``).
+            hs = highs[sel]
+            if counter is HardwareCounter.LLC_LOAD_MISS:
+                n_total = int(counts.sum())
+                offsets = np.empty(n_total, dtype=np.int64)
+                lats = np.empty(n_total)
+                o = 0
+                for h, c in zip(hs.tolist(), counts.tolist()):
+                    if c == 1:
+                        offsets[o] = rng.integers(0, h)
+                        lats[o] = rng.normal(200.0, 40.0)
+                    else:
+                        offsets[o:o + c] = rng.integers(0, h, size=c)
+                        lats[o:o + c] = rng.normal(200.0, 40.0, size=c)
+                    o += c
             else:
-                for h, c in zip(highs[sel].tolist(), counts.tolist()):
-                    off_parts.append(rng.integers(0, h, size=c))
+                offsets = rng.integers(0, np.repeat(hs, counts))
+                lats = None
             seg = np.repeat(np.arange(sel.size), counts)
             times = tl[seg] + (ts_all - lo) * (th - tl)[seg] / span
-            addrs = bases[sel][seg] + np.concatenate(off_parts)
+            addrs = bases[sel][seg] + offsets
             # the addresses must resolve through the live table, like
             # Extrae matching PEBS linear addresses to objects
             slots = table.lookup_batch(addrs)
@@ -350,7 +385,6 @@ class ExtraeTracer:
                 raise TraceError(
                     f"sample address {bad:#x} fell outside live objects"
                 )
-            lats = np.concatenate(lat_parts) if is_load else None
             trace.add_sample_batch(times, addrs, counter, rank=rank,
                                    latencies=lats, weight=weight)
 

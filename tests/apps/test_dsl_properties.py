@@ -206,3 +206,21 @@ def test_distspec_samples_in_bounds(seed):
     assert ri in (1, 2, 3, 4)
     ch = DistSpec.make("choice", values=["a", "b"], weights=[1.0, 3.0]).sample(rng)
     assert ch in ("a", "b")
+
+
+def test_distspec_choice_weights_sum_left_to_right():
+    """The choice probabilities divide by a plain left-to-right sum on
+    every Python version: builtin ``sum()`` compensates float rounding
+    from 3.12 on, which would move every stream drawn after them."""
+
+    class Recorder:
+        def choice(self, n, p=None):
+            self.p = p
+            return 0
+
+    rng = Recorder()
+    spec = DistSpec.make("choice", values=["a", "b", "c"],
+                         weights=[1e16, 1.0, 1.0])
+    assert spec.sample(rng) == "a"
+    # each 1.0 rounds away against 1e16; a compensated sum gives 1e16 + 2
+    assert rng.p == [1.0, 1e-16, 1e-16]

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.profiling.events import HardwareCounter
-from repro.profiling.pebs import PEBSConfig, PEBSSampler
+from repro.profiling.pebs import PEBSConfig, PEBSSampler, SampleBatch
 
 
 class TestConfig:
@@ -87,3 +87,38 @@ class TestTimestamps:
         assert len(ts) == batch.counts["a"]
         assert np.all((ts >= 2.0) & (ts < 3.0))
         assert np.all(np.diff(ts) >= 0)
+
+    def test_flat_timestamps_match_per_key(self):
+        """The vectorized callers' flat form: one draw for every key,
+        each key's segment sorted, equal to the per-key draws."""
+        counts = {"a": 5, "b": 1, "c": 12, "d": 3}
+        batch = SampleBatch(HardwareCounter.LLC_LOAD_MISS, 0.0, 1.0, counts,
+                            total_true_events=100.0, total_samples=21)
+        per_key = PEBSSampler(PEBSConfig(seed=8)).sample_timestamps(batch)
+        flat = PEBSSampler(PEBSConfig(seed=8)).timestamps_flat(
+            0.0, 1.0, np.array(list(counts.values())))
+        assert flat.tolist() == np.concatenate(list(per_key.values())).tolist()
+
+
+class TestTotals:
+    """The true-event total is a plain left-to-right float sum on every
+    Python version: builtin ``sum()`` compensates rounding from 3.12 on,
+    which would move ``total``, ``n_samples`` and the sample weight."""
+
+    def test_total_accumulates_left_to_right(self):
+        s = PEBSSampler(PEBSConfig(seed=1))
+        total, n_samples, draws = s.sample_counts(
+            0.0, 1.0, np.array([1e16, 1.0, -1e16]))
+        # 1e16 + 1.0 rounds back to 1e16, so the total is 0.0 (a
+        # compensated sum would give 1.0)
+        assert total == 0.0
+        assert n_samples == 0 and draws is None
+
+    def test_firing_total_accumulates_left_to_right(self):
+        s = PEBSSampler(PEBSConfig(seed=1))
+        batch = s.sample_interval_arrays(
+            HardwareCounter.ALL_STORES, 0.0, 1.0, ["a", "b", "c"],
+            np.array([1e16, 1.0, 1.0]))
+        # each 1.0 rounds away; a compensated sum would give 1e16 + 2
+        assert batch.total_true_events == 1e16
+        assert batch.total_samples > 0

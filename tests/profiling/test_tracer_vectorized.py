@@ -14,14 +14,16 @@ vectorized code has to get right — zero-sample windows, objects freed
 mid-window, and objects never freed.
 """
 
+import numpy as np
 import pytest
 
 from repro.binary.callstack import StackFormat
 from repro.apps.workload import AccessStats, ObjectSpec, Phase, Workload
+from repro.profiling.events import HardwareCounter
 from repro.profiling.paramedir import Paramedir
 from repro.profiling.pebs import PEBSConfig
 from repro.profiling.tracer import ExtraeTracer, TracerConfig
-from repro.units import MiB
+from repro.units import GiB, MiB
 
 from tests.conftest import make_site, make_toy_workload
 
@@ -169,3 +171,146 @@ class TestRankOrderIndependence:
         tracer = ExtraeTracer(wl, TracerConfig(seed=9))
         batch = tracer.run_all_ranks(ranks=2)
         assert not batch[0].same_events(batch[1])
+
+
+def make_extreme_size_workload() -> Workload:
+    """Object sizes no registered app reaches: one above 4 GiB (its
+    offsets take numpy's 64-bit bounded-integer path) and two of 8 bytes
+    or less (the offset bound clamps to 1, so every sample hits the
+    base).  All three take both loads and stores."""
+    huge = ObjectSpec(
+        site=make_site("extreme::huge"),
+        size=5 * GiB,
+        access={
+            "compute": AccessStats(load_rate=3_000_000.0,
+                                   store_rate=1_000_000.0, accessor="k"),
+        },
+    )
+    word = ObjectSpec(
+        site=make_site("extreme::word"),
+        size=8,
+        alloc_count=3,
+        first_alloc=0.3,
+        lifetime=1.2,   # freed mid-window (window = 1.0)
+        period=1.5,
+        access={
+            "compute": AccessStats(load_rate=1_500_000.0,
+                                   store_rate=800_000.0, accessor="k"),
+        },
+    )
+    byte = ObjectSpec(
+        site=make_site("extreme::byte"),
+        size=1,
+        access={
+            "compute": AccessStats(load_rate=600_000.0,
+                                   store_rate=400_000.0, accessor="k"),
+        },
+    )
+    return Workload(
+        name="extreme-sizes",
+        phases=[Phase("compute", compute_time=4.5)],
+        objects=[huge, word, byte],
+        ranks=1,
+    )
+
+
+class TestExtremeObjectSizes:
+    @pytest.mark.parametrize("hz", [100.0, 1000.0])
+    @pytest.mark.parametrize("jitter", [0.0, 0.3])
+    def test_matches_scalar(self, hz, jitter):
+        wl = make_extreme_size_workload()
+        vec, scalar = run_both(wl, TracerConfig(
+            seed=13, rank_jitter=jitter, pebs=PEBSConfig(frequency_hz=hz)))
+        assert vec.same_events(scalar)
+        # the grid really reaches both edge cases on both counters
+        huge = [a for a in vec.allocs if a.size > 4 * GiB]
+        tiny = [a for a in vec.allocs if a.size <= 8]
+        assert len(huge) == 1 and len(tiny) == 4
+        for counter in (HardwareCounter.LLC_LOAD_MISS,
+                        HardwareCounter.ALL_STORES):
+            addrs = [s.data_address for s in vec.samples_for(counter)]
+            base = huge[0].address
+            assert any(a - base >= 2**32 for a in addrs)
+            assert any(a in {t.address for t in tiny} for a in addrs)
+
+
+class _CountingRng:
+    """Call-recording proxy around the tracer's sample ``Generator``; it
+    offers only the draws the tracer's RNG-order contract allows."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = []
+
+    def integers(self, low, high=None, size=None):
+        self.calls.append(("integers", np.ndim(high)))
+        return self._rng.integers(low, high, size=size)
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        self.calls.append(("normal", 0))
+        return self._rng.normal(loc, scale, size=size)
+
+
+class _CountingTracer(ExtraeTracer):
+    """Runs the vectorized path with its sample generator wrapped."""
+
+    def _sample_window_vec(self, *args):
+        if not isinstance(self._sample_rng, _CountingRng):
+            self._sample_rng = _CountingRng(self._sample_rng)
+        super()._sample_window_vec(*args)
+
+
+class TestBatchedDraws:
+    def test_one_store_offset_draw_per_firing_window(self):
+        """Store offsets are one array-bounded ``integers`` call per
+        firing store window; every scalar-bounded call is a load offset
+        (followed by its latency draw), never a per-key store draw."""
+        wl = make_toy_workload(iterations=6)
+        config = TracerConfig(seed=4)
+        tracer = _CountingTracer(wl, config)
+        trace = tracer.run(rank=0, aslr_seed=42)
+        assert trace.same_events(
+            ExtraeTracer(wl, config).run(rank=0, aslr_seed=42))
+        calls = tracer._sample_rng.calls
+
+        store_times = [s.time for s in trace.samples_for(
+            HardwareCounter.ALL_STORES)]
+        firing = np.unique(np.floor(np.array(store_times) / config.window))
+        assert firing.size > 1
+        assert calls.count(("integers", 1)) == firing.size
+        for i, call in enumerate(calls):
+            if call == ("integers", 0):
+                assert calls[i + 1] == ("normal", 0)
+
+
+class TestNumpyStreamContract:
+    """The NumPy property the batched store offsets rest on: one
+    array-bounded ``integers`` call, and the scalar form for one sample,
+    read the bit stream exactly like per-key ``integers(0, h, size=c)``.
+    Bounds cover 1 (no draw), 32-bit, the 2**32 boundary and 64-bit."""
+
+    HIGHS = [7, 1, 2**32 + 1, 1000, 2**32, 3, 2**32 - 1, 5 * GiB, 2**31 + 9,
+             1, 2**40 + 3, 12]
+    COUNTS = [3, 2, 1, 5, 2, 1, 4, 3, 1, 1, 2, 7]
+
+    def test_array_bounded_equals_per_key(self):
+        a = np.random.default_rng((11, 2))
+        b = np.random.default_rng((11, 2))
+        highs = np.array(self.HIGHS, dtype=np.int64)
+        batched = a.integers(0, np.repeat(highs, self.COUNTS))
+        per_key = np.concatenate([
+            b.integers(0, h, size=c) for h, c in zip(self.HIGHS, self.COUNTS)
+        ])
+        assert batched.dtype == per_key.dtype
+        assert batched.tolist() == per_key.tolist()
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_scalar_equals_size_one(self):
+        a = np.random.default_rng(19)
+        b = np.random.default_rng(19)
+        for h in self.HIGHS:
+            assert int(a.integers(0, h)) == int(b.integers(0, h, size=1)[0])
+            assert a.bit_generator.state == b.bit_generator.state
+            # a load draws its latency right after its offset
+            assert a.normal(200.0, 40.0) == b.normal(200.0, 40.0, size=1)[0]
+        assert a.bit_generator.state == b.bit_generator.state
